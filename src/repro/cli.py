@@ -51,9 +51,10 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                         help="shard the index over N page files "
                              "(index path becomes a directory; default 1)")
     parser.add_argument("--executor", default="thread",
-                        help="scatter-gather executor for --shards > 1: "
-                             "serial | thread[:N] | process[:N] "
-                             "(default thread)")
+                        help="in-process scatter-gather executor for "
+                             "--shards > 1: serial | thread[:N] (default "
+                             "thread); for one process per shard use "
+                             "--workers")
     parser.add_argument("--workers", action="store_true",
                         help="with --shards > 1: run each shard in a "
                              "long-lived worker process behind a "
@@ -80,7 +81,7 @@ def _open_index(args: argparse.Namespace, config: SWSTConfig, *,
     warm-worker form: one long-lived process per shard behind a
     write-ahead log, so every acknowledged batch is durable without a
     full ``save()``.  A context manager so the resolved executor (which
-    may own a process pool) is torn down alongside the index even when
+    may own a thread pool) is torn down alongside the index even when
     the command body raises.
     """
     if config.n_shards == 1:

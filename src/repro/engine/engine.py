@@ -1,31 +1,37 @@
-"""Sharded scatter-gather engine over independent SWST index shards.
+"""Sharded scatter-gather engine: one coordinator over a shard transport.
 
 :class:`ShardedEngine` partitions the spatial grid's cell space across
 ``config.n_shards`` independent :class:`~repro.core.index.SWSTIndex`
-instances — each with its own page file, pager, buffer pool and
+shards — each with its own page file, pager, buffer pool and
 decoded-node cache — using the deterministic
 :class:`~repro.engine.sharding.GridShardMap`.  Because the SWST layers
-share nothing between spatial cells, a shard holds exactly the B+ trees
-and memos of the cells it owns, and:
+share nothing between spatial cells, the coordinator only:
 
-* every insert routes to exactly one shard (the owner of the report's
-  cell),
-* every range query fans out only to the shards owning cells that
-  overlap the query rectangle, scatter-gather over a pluggable
-  :class:`~repro.engine.executor.Executor`, merging per-shard
-  :class:`~repro.core.results.QueryResult`/``QueryStats``,
-* the sliding window is *coordinated*: the engine advances every
-  shard's clock in lockstep, so the wholesale tree-drop epoch (stream
-  time crossing a multiple of ``Wmax``) fires consistently across the
-  pool.
+* routes every mutation to the shard owning the report's cell, as
+  per-shard batches of :mod:`~repro.engine.wal` ops (``OP_INSERT``,
+  ``OP_CLOSE``, ``OP_RUN``, ``OP_ADVANCE``, ...), keeping a mirror of
+  every object's current entry: an object whose consecutive reports
+  land in cells of different shards is finalised in the old shard and
+  inserted into the new one;
+* fans every range query out to the shards owning cells that overlap
+  the query rectangle and merges the per-shard
+  :class:`~repro.core.results.QueryResult`/``QueryStats``;
+* advances every shard's clock in lockstep, so the wholesale tree-drop
+  epoch (stream time crossing a multiple of ``Wmax``) fires consistently
+  across the pool.
 
-The engine owns the cross-shard part of the current-entry protocol: an
-object's consecutive reports may land in cells owned by different
-shards, in which case the previous shard finalises the old current
-entry while the new shard receives the fresh one.  A single-shard
-engine degenerates to byte-identical behaviour — same entries, same
-query results, same logical node-access counts — as a plain
-``SWSTIndex`` fed the same stream.
+Where the shards live is a *shard transport*.  :class:`LocalShards`
+keeps them in this process and fans work out over a pluggable
+:class:`~repro.engine.executor.Executor`;
+:class:`~repro.engine.worker.WorkerShards` (behind
+:class:`~repro.engine.worker.WorkerEngine`) keeps each one in a
+supervised worker process fed through a per-shard write-ahead log.  A
+transport applies op batches, runs one read method on a set of shards,
+commits (then snapshots or checkpoints) and closes; validation, routing,
+the mirror, the plan cache, the query surface and the manifest protocol
+exist once, here.  A single-shard engine is byte-identical — same
+entries, same query results, same logical node-access counts — to a
+plain ``SWSTIndex`` fed the same stream.
 
 On disk an engine is a *directory*::
 
@@ -47,18 +53,18 @@ commit lands, then commits every shard, then atomically flips the
 manifest to the new epoch and removes the marker (every step fsyncs the
 file and the containing directory).  ``open()`` after a crash
 classifies the directory deterministically from the marker: if no shard
-committed the new epoch it *rolls back* (the old snapshot is intact);
-if every shard committed it *rolls forward* (finishing the manifest
-flip); if the crash landed between shard commits — the one window the
-in-place storage layer cannot undo — it restores the committed shards
-from the previous epoch's copy-on-write snapshot (``snapshots/<E>/``,
-written at the end of the save that committed epoch ``E``, while the
-shard files are provably clean) and rolls the whole directory back;
-only when no snapshot exists (``snapshots=False`` engines, or
-pre-snapshot directories) does it raise a typed
-:class:`~repro.engine.errors.EpochTornError` naming both shard groups
-instead of silently serving a mixed snapshot.  Format-1 manifests (no
-epoch) still open; their first ``save()`` upgrades them.
+committed the new epoch it *rolls back*; if every shard committed it
+*rolls forward* (finishing the manifest flip); a crash between shard
+commits — the one window the in-place storage layer cannot undo — is
+settled by the transport.  In-process shards restore every shard from
+the previous epoch's copy-on-write snapshot (``snapshots/<E>/``,
+written right after the save that committed epoch ``E``, while the
+shard files are provably clean) and roll back; only when no snapshot
+exists (``snapshots=False`` engines, or pre-snapshot directories) does
+the engine raise a typed :class:`~repro.engine.errors.EpochTornError`
+naming both shard groups.  Worker shards roll forward instead: their
+write-ahead logs still hold every acknowledged op.  Format-1 manifests
+(no epoch) still open; their first ``save()`` upgrades them.
 
 **Generations.**  ``repro.engine.reshard`` rewrites a saved directory
 to a different shard count by streaming the entries into a fresh set of
@@ -67,10 +73,10 @@ flipping the manifest to the new generation; ``generation`` in the
 manifest names the subdirectory the live shard files inhabit
 (generation 0 is the directory root).
 
-**Resilient fan-out.**  Read-only query fan-out wraps each per-shard
-task in the engine's :class:`~repro.engine.retry.RetryPolicy`
+**Resilient fan-out.**  Read-only query fan-out runs each per-shard
+task under the engine's :class:`~repro.engine.retry.RetryPolicy`
 (transient ``OSError``/worker-death retries with exponential backoff
-over injected seams) and per-shard
+over injected seams) with per-shard
 :class:`~repro.engine.retry.CircuitBreaker` accounting.  ``strict=True``
 (default) raises a typed :class:`~repro.engine.errors.ShardQueryError`
 naming the first failed shard; ``strict=False`` degrades gracefully,
@@ -85,7 +91,7 @@ import contextlib
 import dataclasses
 import json
 import os
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Protocol
 
 from ..core.config import SWSTConfig
 from ..core.grid import SpatialGrid
@@ -102,10 +108,12 @@ from ..storage.stats import IOStats
 from .errors import (CircuitOpenError, EngineClosedError, EngineCloseError,
                      EngineError, EpochTornError, ShardFailure,
                      ShardOpenError, ShardQueryError, TaskTimeoutError)
-from .executor import (Executor, ThreadedExecutor, discard_worker_shard,
-                       open_worker_shard)
+from .executor import Executor, ThreadedExecutor
 from .retry import CircuitBreaker, RetryPolicy
 from .sharding import GridShardMap
+from .wal import (NONE_ARG, OP_ADVANCE, OP_CLOSE, OP_DELETE, OP_FORGET,
+                  OP_INSERT, OP_RETAIN, OP_RUN, apply_op)
+
 
 _MANIFEST_NAME = "engine.json"
 _PREPARE_NAME = "engine.prepare.json"
@@ -254,35 +262,41 @@ def _guarded_call(policy: RetryPolicy,
         return ("err", exc)
 
 
-def _remote_query_task(
-        task: tuple[str, SWSTConfig, str, tuple[Any, ...], RetryPolicy, int]
-) -> tuple[str, Any]:
-    """Out-of-process task: open one saved shard and run one method.
+#: One mutation as the transports carry it: an op code and its int
+#: arguments (see :mod:`repro.engine.wal`).
+Op = tuple[int, tuple[int, ...]]
 
-    Used by remote (process-pool) executors, which cannot reach the
-    parent's live shard objects.  The shard is opened read-only in
-    practice (query methods never mutate, so the pager commits nothing)
-    through the worker-local handle cache keyed on the engine's save
-    epoch — repeated queries against an unchanged directory reuse the
-    open shard instead of re-parsing the catalog and warming the buffer
-    pool from scratch.  A failed attempt discards the cached handle, so
-    retries (which run *inside* the worker — a transient fault does not
-    cost a round trip through the pool) start from a fresh open.
+#: Per-shard op batches of one dispatch: shard id -> ops in order.
+Batches = dict[int, list[Op]]
+
+
+def shard_request(shard: SWSTIndex, kind: str, payload: Any = None) -> Any:
+    """Answer one request that is not an op batch, against one shard.
+
+    The vocabulary both transports share: ``query`` runs one read
+    method (``payload = (method, args)``), ``resync`` reports the clock
+    and current-entry table, ``scan``/``len``/``stats`` are
+    introspection, ``gen_info`` feeds the PREPARE marker and ``save``
+    commits the shard, answering its new header generation.
     """
-    path, config, method, args, policy, epoch = task
-
-    def open_shard() -> SWSTIndex:
-        return SWSTIndex.open(path, config)
-
-    def attempt() -> Any:
-        shard = open_worker_shard(path, epoch, open_shard)
-        try:
-            return getattr(shard, method)(*args)
-        except BaseException:
-            discard_worker_shard(path)
-            raise
-
-    return _guarded_call(policy, attempt)
+    if kind == "query":
+        method, args = payload
+        return getattr(shard, method)(*args)
+    if kind == "resync":
+        return {"now": shard.now, "current": shard.current_objects()}
+    if kind == "scan":
+        return list(shard.scan())
+    if kind == "len":
+        return len(shard)
+    if kind == "stats":
+        return shard.stats.snapshot()
+    if kind == "gen_info":
+        pager = shard.pager
+        return (pager.format_version, pager.generation, pager.session_marked)
+    if kind == "save":
+        shard.save()
+        return shard.pager.generation
+    raise ValueError(f"unknown shard request {kind!r}")
 
 
 @dataclasses.dataclass
@@ -302,8 +316,389 @@ class PartialResult(QueryResult):
         return not self.failures
 
 
+class ShardTransport(Protocol):
+    """Where the shards of a :class:`ShardedEngine` live.
+
+    Four jobs — apply op batches, run a read method on a set of shards,
+    commit then snapshot/checkpoint, close — plus the start-up and
+    recovery seams each of them needs.
+    """
+
+    def start(self, manifest: dict[str, Any] | None) -> None:
+        """Create fresh shards (``None``) or open the manifest's ones."""
+
+    def prepare(self, shard_ids: list[int]) -> None:
+        """Make ``shard_ids`` reachable before a dispatch moves the clock."""
+
+    def apply(self, batches: Batches) -> dict[int, list[Any]]:
+        """Apply each shard's ops in order; per-op results per shard."""
+
+    def run(self, shard_ids: list[int], method: str, args: tuple[Any, ...]
+            ) -> tuple[list[tuple[int, Any]], list[ShardFailure]]:
+        """Resilient read fan-out: successes plus typed failures."""
+
+    def request(self, shard_id: int, kind: str, payload: Any = None) -> Any:
+        """One :func:`shard_request` against one shard (raises)."""
+
+    def request_all(self, kind: str, payload: Any = None) -> list[Any]:
+        """One :func:`shard_request` against every shard, in id order."""
+
+    def checkpoint(self, epoch: int) -> None:
+        """Post-commit step of a save that reached ``epoch``."""
+
+    def save_failed(self) -> None:
+        """A save failed before its manifest flip landed."""
+
+    def settle_torn(self, epoch: int, committed: list[int],
+                    pending: list[int], next_epoch: int) -> bool:
+        """Settle a save torn between shard commits; True = roll forward."""
+
+    def close(self) -> list[BaseException]:
+        """Release every shard; returns the errors met on the way."""
+
+    def abandon(self) -> None:
+        """Best-effort release after a failed start (never raises)."""
+
+
+class LocalShards:
+    """In-process shard transport: ``SWSTIndex`` shards on an executor.
+
+    Op batches with ingest runs on more than one shard, and every read
+    fan-out, run on the engine's
+    :class:`~repro.engine.executor.Executor`; reads go through the
+    retry policy and per-shard circuit breakers.  A disk-backed engine
+    keeps copy-on-write epoch snapshots (``snapshots/<E>/``) so that a
+    save torn between in-place shard commits — or a mid-session crash
+    that left evicted uncommitted pages over a committed file — rolls
+    back on open.
+    """
+
+    def __init__(self, engine: "ShardedEngine", executor: Executor | None,
+                 task_timeout: float | None, snapshots: bool) -> None:
+        self._engine = engine
+        self.owns_executor = executor is None
+        self.executor: Executor = executor if executor is not None \
+            else ThreadedExecutor(max_workers=engine.n_shards)
+        self.task_timeout = task_timeout
+        self.snapshots = snapshots
+        self.shards: list[SWSTIndex] = []
+
+    # -- start -----------------------------------------------------------------
+
+    def start(self, manifest: dict[str, Any] | None) -> None:
+        """Create fresh shard files, or open a recovered directory's.
+
+        Under a format-2 manifest a shard that refuses to open —
+        typically a mid-session crash after the buffer pool evicted
+        uncommitted pages over the committed state in place — is
+        retried once after restoring *every* shard from the committed
+        epoch's snapshot; then the shards must sit at or above their
+        recorded generations and agree on one clock (disagreement means
+        the directory mixes snapshots and is refused).  Format-1
+        directories open as they are; the engine realigns their clocks.
+        """
+        engine = self._engine
+        if manifest is None:
+            self._open_files(create=True)
+        elif manifest["format"] < 2:
+            self._open_files()
+            return
+        else:
+            try:
+                self._open_files()
+            except ShardOpenError:
+                if not self.snapshots \
+                        or not self._restore_snapshot(manifest["epoch"]):
+                    raise
+                self._open_files()
+            self._check_manifest(manifest)
+        if engine.directory is not None and self.snapshots \
+                and all(shard.pager.format_version == 2
+                        for shard in self.shards):
+            self._ensure_snapshot()
+
+    def _open_files(self, create: bool = False) -> None:
+        """Open (or create) every shard; on failure close what was opened."""
+        engine = self._engine
+        opened: list[SWSTIndex] = []
+        try:
+            for shard_id in range(engine.n_shards):
+                shard_path = engine.shard_path(shard_id)
+                if create:
+                    opened.append(SWSTIndex(engine.config, shard_path))
+                    continue
+                try:
+                    opened.append(SWSTIndex.open(shard_path, engine.config))
+                except Exception as exc:
+                    raise ShardOpenError(shard_id, shard_path,
+                                         exc) from exc
+        except BaseException:
+            for shard in opened:
+                with contextlib.suppress(StorageError, OSError):
+                    shard.close()
+            raise
+        self.shards.extend(opened)
+
+    def _check_manifest(self, manifest: dict[str, Any]) -> None:
+        gens: list[int] = manifest["shards"]
+        for shard_id, shard in enumerate(self.shards):
+            if shard.pager.format_version == 2 \
+                    and shard.pager.generation < gens[shard_id]:
+                raise EngineError(
+                    f"shard {shard_id} is behind the manifest: committed "
+                    f"generation {shard.pager.generation} < recorded "
+                    f"{gens[shard_id]} (page file replaced or restored "
+                    f"from an older backup?)")
+        clocks = {shard.now for shard in self.shards}
+        if len(clocks) > 1:
+            raise EngineError(
+                f"shard clocks disagree under manifest epoch "
+                f"{manifest['epoch']}: {sorted(clocks)}; the directory "
+                f"mixes snapshots (restore from backup)")
+
+    # -- apply / run -----------------------------------------------------------
+
+    def prepare(self, shard_ids: list[int]) -> None:
+        """In-process shards are always reachable."""
+
+    def apply(self, batches: Batches) -> dict[int, list[Any]]:
+        """Apply the batches; ingest runs on several shards in parallel.
+
+        Mutations never retry and ignore breaker state: a half-applied
+        batch must surface, not be papered over.
+        """
+        shards = self.shards
+        items = sorted(batches.items())
+
+        def task(item: tuple[int, list[Op]]) -> list[Any]:
+            shard = shards[item[0]]
+            return [apply_op(shard, op, args) for op, args in item[1]]
+
+        runs = sum(any(op == OP_RUN for op, _ in ops) for _, ops in items)
+        results = self.executor.map(task, items) if runs > 1 \
+            else [task(item) for item in items]
+        return {sid: result for (sid, _), result in zip(items, results,
+                                                        strict=True)}
+
+    def run(self, shard_ids: list[int], method: str, args: tuple[Any, ...]
+            ) -> tuple[list[tuple[int, Any]], list[ShardFailure]]:
+        """Scatter one read method over the executor, resiliently.
+
+        Shards whose breaker is open fail up front (no dispatch); every
+        dispatched task runs under the retry policy, and outcomes fold
+        into the breakers here on the gathering side (executor callables
+        never mutate shared state).  A fan-out deadline abandons the
+        whole gather: only the overrunning shard's breaker records it.
+        """
+        engine = self._engine
+        breakers = engine._breakers
+        dispatch: list[int] = []
+        failures: list[ShardFailure] = []
+        for sid in shard_ids:
+            breaker = breakers[sid]
+            if breaker is not None and not breaker.allow():
+                failures.append(ShardFailure(
+                    sid, engine.shard_path(sid), CircuitOpenError(sid)))
+            else:
+                dispatch.append(sid)
+        if not dispatch:
+            return [], failures
+        policy = engine._retry_policy
+        shards = self.shards
+
+        def task(sid: int) -> tuple[str, Any]:
+            return _guarded_call(
+                policy, lambda: getattr(shards[sid], method)(*args))
+
+        try:
+            outcomes = self.executor.map(task, dispatch,
+                                         timeout=self.task_timeout)
+        except TaskTimeoutError as exc:
+            # Timeouts are not retried (the task may still hold the
+            # shard); the siblings were merely collateral.
+            timed_sid = dispatch[exc.item_index]
+            breaker = breakers[timed_sid]
+            if breaker is not None:
+                breaker.record_failure()
+            for sid in dispatch:
+                error: EngineError = exc if sid == timed_sid else \
+                    EngineError(f"fan-out abandoned after shard "
+                                f"{timed_sid} exceeded its deadline")
+                failures.append(ShardFailure(
+                    sid, engine.shard_path(sid), error))
+            return [], failures
+        successes: list[tuple[int, Any]] = []
+        for sid, (tag, value) in zip(dispatch, outcomes, strict=True):
+            breaker = breakers[sid]
+            if tag == "ok":
+                if breaker is not None:
+                    breaker.record_success()
+                successes.append((sid, value))
+            else:
+                if breaker is not None:
+                    breaker.record_failure()
+                failures.append(ShardFailure(
+                    sid, engine.shard_path(sid), value))
+        return successes, failures
+
+    def request(self, shard_id: int, kind: str, payload: Any = None) -> Any:
+        return shard_request(self.shards[shard_id], kind, payload)
+
+    def request_all(self, kind: str, payload: Any = None) -> list[Any]:
+        return [shard_request(shard, kind, payload) for shard in self.shards]
+
+    # -- commit and snapshots --------------------------------------------------
+
+    def save_failed(self) -> None:
+        """The marker stays for the next ``open()`` to resolve.
+
+        Live shards keep their in-memory state, so calling ``save()``
+        again completes the epoch after a transient fault.
+        """
+
+    def checkpoint(self, epoch: int) -> None:
+        """CoW-snapshot the just-committed files; drop older snapshots.
+
+        The snapshot runs *after* the commit, while every page file is
+        provably clean — a pre-save copy could capture uncommitted pages
+        the buffer pool evicted over the committed state, and restoring
+        such a copy would reproduce the corruption instead of undoing
+        it.  A crash in here at worst loses the new epoch's snapshot,
+        which ``open()`` rewrites.
+        """
+        if self.snapshots:
+            self.write_snapshot()
+            self._prune_snapshots(keep_epoch=epoch)
+
+    def settle_torn(self, epoch: int, committed: list[int],
+                    pending: list[int], next_epoch: int) -> bool:
+        """Restore every shard from ``snapshots/<epoch>/`` and roll back.
+
+        Even with no shard committed, the crashed save's write window
+        may have evicted uncommitted pages over the committed state in
+        place, so the restore runs whenever a snapshot exists.  Mixed
+        commits without a snapshot raise :class:`EpochTornError`.
+        """
+        restored = self._restore_snapshot(epoch)
+        if committed and not restored:
+            raise EpochTornError(next_epoch, committed, pending)
+        return False
+
+    def _snapshot_root(self) -> str:
+        directory = self._engine.directory
+        assert directory is not None
+        return os.path.join(directory, _SNAPSHOTS_DIR)
+
+    def _ensure_snapshot(self) -> None:
+        """Write ``snapshots/<epoch>/`` when absent or incomplete.
+
+        Runs at construction and after every successful open — the
+        other moments (besides a completed save) when every shard file
+        is provably clean-committed.  Copies are atomic, so presence of
+        all ``n_shards`` files means the snapshot is whole.
+        """
+        engine = self._engine
+        assert engine.directory is not None
+        snap = snapshot_dir(engine.directory, engine.epoch)
+        if not all(os.path.exists(os.path.join(snap, _shard_file_name(sid)))
+                   for sid in range(engine.n_shards)):
+            self.write_snapshot()
+
+    def write_snapshot(self) -> None:
+        """CoW-copy every shard file into ``snapshots/<epoch>/``.
+
+        Only runs while every page file is clean-committed, so the
+        copies freeze exactly the committed state of the engine's epoch.
+        """
+        engine = self._engine
+        assert engine.directory is not None
+        fops = engine._fops
+        snap_root = self._snapshot_root()
+        snap = snapshot_dir(engine.directory, engine.epoch)
+        fops.mkdir(snap_root)
+        fops.mkdir(snap)
+        for shard_id in range(engine.n_shards):
+            fops.copy_file(engine.shard_path(shard_id),
+                           os.path.join(snap, _shard_file_name(shard_id)))
+        fops.fsync_dir(snap)
+        fops.fsync_dir(snap_root)
+        fops.fsync_dir(engine.directory)
+
+    def _prune_snapshots(self, keep_epoch: int) -> None:
+        """Drop snapshot directories of epochs older than ``keep_epoch``.
+
+        Runs after the flip committed, so a crash in here costs only
+        disk space — stale directories are re-pruned by the next save.
+        """
+        snap_root = self._snapshot_root()
+        try:
+            names = sorted(os.listdir(snap_root))
+        except OSError:
+            return
+        fops = self._engine._fops
+        pruned = False
+        for name in names:
+            if not name.isdigit() or int(name) >= keep_epoch:
+                continue
+            stale = os.path.join(snap_root, name)
+            for file_name in sorted(os.listdir(stale)):
+                fops.unlink(os.path.join(stale, file_name))
+            fops.rmdir(stale)
+            pruned = True
+        if pruned:
+            fops.fsync_dir(snap_root)
+
+    def _restore_snapshot(self, epoch: int) -> bool:
+        """Roll every shard back to its ``snapshots/<epoch>/`` copy.
+
+        Returns False (directory untouched) unless the snapshot holds a
+        copy for *every* shard — a partial restore would just move the
+        tear.  Each restore is an atomic durable copy, so a crash
+        mid-restore re-enters recovery and converges.
+        """
+        engine = self._engine
+        assert engine.directory is not None
+        snap = snapshot_dir(engine.directory, epoch)
+        sources = {sid: os.path.join(snap, _shard_file_name(sid))
+                   for sid in range(engine.n_shards)}
+        if not all(os.path.exists(source) for source in sources.values()):
+            return False
+        fops = engine._fops
+        for sid, source in sources.items():
+            fops.copy_file(source, engine.shard_path(sid))
+        fops.fsync_dir(generation_dir(engine.directory, engine.generation))
+        return True
+
+    # -- lifecycle -------------------------------------------------------------
+
+    def close(self) -> list[BaseException]:
+        """Close every shard and (if owned) the executor."""
+        errors: list[BaseException] = []
+        for shard in self.shards:
+            try:
+                shard.close()
+            except BaseException as exc:
+                errors.append(exc)
+        if self.owns_executor:
+            try:
+                self.executor.close()
+            except BaseException as exc:
+                errors.append(exc)
+        return errors
+
+    def abandon(self) -> None:
+        # Best-effort: a shard whose close fails (its device already
+        # torn down) must not mask the original init/open error.
+        for shard in self.shards:
+            with contextlib.suppress(StorageError, OSError, ValueError):
+                shard.close()
+        if self.owns_executor:
+            with contextlib.suppress(OSError, RuntimeError):
+                self.executor.close()
+
+
 class ShardedEngine:
-    """Scatter-gather front end over ``config.n_shards`` SWST shards.
+    """Scatter-gather coordinator over ``config.n_shards`` SWST shards.
 
     Args:
         config: index parameters; ``config.n_shards`` fixes the shard
@@ -329,20 +724,24 @@ class ShardedEngine:
             retried — an abandoned worker may still hold its shard.
         file_ops: durable filesystem seam for the manifest protocol;
             tests substitute a fault-injecting implementation.
-        snapshots: when True (default), every ``save()`` first CoW-copies
-            the shard files into ``snapshots/<epoch>/`` so a save torn
-            between in-place shard commits rolls back on ``open()``
-            instead of raising :class:`EpochTornError`.  ``False``
-            restores the pre-snapshot protocol (and its torn window).
+        snapshots: when True (default), every ``save()`` CoW-copies the
+            just-committed shard files into ``snapshots/<epoch>/`` so a
+            save torn between in-place shard commits rolls back on
+            ``open()`` instead of raising :class:`EpochTornError`.
+            ``False`` restores the pre-snapshot protocol (and its torn
+            window).
 
     The engine exposes the full ``SWSTIndex`` query surface
-    (``query_timeslice``, ``query_interval``, ``count_interval``,
-    ``query_knn``, ``density_grid``, ``object_history``,
-    ``forget_object``, ``set_retention``) plus the ingestion API
-    (``insert``, ``report``, ``extend``, ``close_object``, ``delete``,
-    ``advance_time``).  It is not itself thread-safe for concurrent
-    callers; internal parallelism only ever touches disjoint shards.
+    (``query_timeslice``, ``query_interval``, ``query_interval_many``,
+    ``count_interval``, ``query_knn``, ``density_grid``,
+    ``object_history``) plus the ingestion API (``insert``, ``report``,
+    ``extend``, ``close_object``, ``delete``, ``set_retention``,
+    ``forget_object``, ``advance_time``).  It is not itself thread-safe
+    for concurrent callers; internal parallelism only ever touches
+    disjoint shards.
     """
+
+    _transport: ShardTransport
 
     def __init__(self, config: SWSTConfig | None = None,
                  path: str = MEMORY,
@@ -353,60 +752,76 @@ class ShardedEngine:
                  task_timeout: float | None = None,
                  file_ops: FileOps | None = None,
                  snapshots: bool = True) -> None:
-        self.config = config if config is not None else SWSTConfig()
-        self._init_common(executor, retry_policy, breaker_factory,
-                          task_timeout, file_ops)
-        self._snapshots = snapshots
-        self._dir: str | None = None
-        if os.fspath(path) != MEMORY:
-            self._dir = os.fspath(path)
-            self._prepare_directory()
-        self._shards: list[SWSTIndex] = []
-        try:
-            for shard_id in range(self.n_shards):
-                self._shards.append(
-                    SWSTIndex(self.config, self.shard_path(shard_id)))
-            if self._dir is not None and self._snapshots \
-                    and all(shard.pager.format_version == 2
-                            for shard in self._shards):
-                self._ensure_snapshot()
-        except BaseException:
-            self._abandon()
-            raise
+        self._setup(config, path, retry_policy, breaker_factory, file_ops)
+        self._start(LocalShards(self, executor, task_timeout, snapshots),
+                    create=True)
 
-    def _init_common(self, executor: Executor | None,
-                     retry_policy: RetryPolicy | None,
-                     breaker_factory: Callable[[], CircuitBreaker] | None,
-                     task_timeout: float | None,
-                     file_ops: FileOps | None) -> None:
+    @classmethod
+    def open(cls, path: str, config: SWSTConfig,
+             executor: Executor | None = None, *,
+             retry_policy: RetryPolicy | None = None,
+             breaker_factory: Callable[[], CircuitBreaker] | None
+             = CircuitBreaker,
+             task_timeout: float | None = None,
+             file_ops: FileOps | None = None,
+             snapshots: bool = True) -> "ShardedEngine":
+        """Re-open a saved shard directory, recovering it as one unit.
+
+        A leftover PREPARE marker (crashed save) is resolved *before*
+        any shard opens (see :meth:`_resolve_marker`).  Then each shard
+        runs the storage layer's full recovery-on-open; the first shard
+        that fails raises :class:`ShardOpenError` naming it.
+        """
+        engine = cls.__new__(cls)
+        engine._setup(config, path, retry_policy, breaker_factory, file_ops)
+        engine._start(LocalShards(engine, executor, task_timeout,
+                                  snapshots), create=False)
+        return engine
+
+    def _setup(self, config: SWSTConfig | None, path: str,
+               retry_policy: RetryPolicy | None,
+               breaker_factory: Callable[[], CircuitBreaker] | None,
+               file_ops: FileOps | None) -> None:
+        self.config = config if config is not None else SWSTConfig()
+        self._dir: str | None = None if os.fspath(path) == MEMORY \
+            else os.fspath(path)
         self.grid = SpatialGrid(self.config.space, self.config.x_partitions,
                                 self.config.y_partitions)
         self.shard_map = GridShardMap(self.config.x_partitions,
                                       self.config.y_partitions,
                                       self.config.n_shards)
-        if executor is None:
-            self._executor: Executor = ThreadedExecutor(
-                max_workers=self.config.n_shards)
-            self._owns_executor = True
-        else:
-            self._executor = executor
-            self._owns_executor = False
         self._retry_policy = retry_policy if retry_policy is not None \
             else RetryPolicy()
         self._breakers: list[CircuitBreaker | None] = [
             breaker_factory() if breaker_factory is not None else None
             for _ in range(self.config.n_shards)]
-        self._task_timeout = task_timeout
         self._fops: FileOps = file_ops if file_ops is not None \
             else DURABLE_FILE_OPS
-        self._home: dict[int, int] = {}
         self._plans = PlanCache(self.config.plan_cache_size)
+        #: oid -> (home shard, x, y, s) for every live current entry.
+        self._cur: dict[int, tuple[int, int, int, int]] = {}
+        #: Clock each shard reached at its last acknowledged dispatch.
+        self._shard_clocks = [0] * self.config.n_shards
         self._clock = 0
         self._epoch = 0
         self._generation = 0
-        self._snapshots = True
-        self._mutated = False
+        self._needs_resync = False
         self._closed = False
+
+    def _start(self, transport: ShardTransport, create: bool) -> None:
+        """Bring the shards up, then derive the clock and mirror."""
+        self._transport = transport
+        try:
+            manifest = None
+            if not create:
+                manifest = self._recover()
+            elif self._dir is not None:
+                self._prepare_directory()
+            transport.start(manifest)
+            self._resync()
+        except BaseException:
+            self._abandon()
+            raise
 
     # -- directory layout -----------------------------------------------------
 
@@ -454,7 +869,7 @@ class ShardedEngine:
             raise EngineError(
                 f"directory {self._dir!r} holds an interrupted save "
                 f"(marker {_PREPARE_NAME}); recover it with "
-                f"ShardedEngine.open() first")
+                f"{type(self).__name__}.open() first")
         manifest_path = self._manifest_path()
         if os.path.exists(manifest_path):
             manifest = load_manifest(manifest_path)
@@ -476,24 +891,9 @@ class ShardedEngine:
         write_json_atomic(self._fops, self._dir, path, blob)
 
     def _abandon(self) -> None:
-        """Close whatever was built so far after a failed init/open.
-
-        Idempotent: the shard-opening helpers abandon on their own
-        failures and the outer ``open()``/``__init__`` guard abandons
-        again on the way out.
-        """
-        if getattr(self, "_abandoned", False):
-            return
-        self._abandoned = True
+        """Release whatever was built after a failed init/open."""
         self._closed = True
-        for shard in getattr(self, "_shards", []):
-            # Best-effort: a shard whose close fails (its device already
-            # torn down) must not mask the original init/open error.
-            with contextlib.suppress(StorageError, OSError, ValueError):
-                shard.close()
-        if self._owns_executor:
-            with contextlib.suppress(OSError, RuntimeError):
-                self._executor.close()
+        self._transport.abandon()
 
     # -- properties ------------------------------------------------------------
 
@@ -504,12 +904,16 @@ class ShardedEngine:
 
     def __len__(self) -> int:
         """Physically stored entries across every shard."""
-        return sum(len(shard) for shard in self._shards)
+        self._check_open()
+        lengths: list[int] = self._transport.request_all("len")
+        return sum(lengths)
 
     @property
     def shards(self) -> tuple[SWSTIndex, ...]:
-        """The shard indexes, in shard-id order (diagnostics/tests)."""
-        return tuple(self._shards)
+        """The in-process shard indexes, in shard-id order (diagnostics)."""
+        if not isinstance(self._transport, LocalShards):
+            raise AttributeError("the shards live in worker processes")
+        return tuple(self._transport.shards)
 
     @property
     def breakers(self) -> tuple[CircuitBreaker | None, ...]:
@@ -525,8 +929,7 @@ class ShardedEngine:
         the engine drops into harness code written for a single index.
         """
         total = IOStats()
-        for shard in self._shards:
-            snap = shard.stats.snapshot()
+        for snap in self.shard_stats():
             for name in vars(snap):
                 setattr(total, name, getattr(total, name) + getattr(snap,
                                                                     name))
@@ -534,17 +937,23 @@ class ShardedEngine:
 
     def shard_stats(self) -> list[IOStats]:
         """Per-shard IO counter snapshots, in shard-id order."""
-        return [shard.stats.snapshot() for shard in self._shards]
+        self._check_open()
+        stats: list[IOStats] = self._transport.request_all("stats")
+        return stats
 
     def node_count(self) -> int:
         """Total B+ tree pages across every shard."""
-        return sum(shard.node_count() for shard in self._shards)
+        self._check_open()
+        counts: list[int] = self._transport.request_all(
+            "query", ("node_count", ()))
+        return sum(counts)
 
     def current_objects(self) -> dict[int, tuple[int, int, int]]:
         """Merged current-entry table: oid -> (x, y, s)."""
+        self._check_open()
         merged: dict[int, tuple[int, int, int]] = {}
-        for shard in self._shards:
-            merged.update(shard.current_objects())
+        for state in self._transport.request_all("resync"):
+            merged.update(state["current"])
         return merged
 
     # -- routing helpers -------------------------------------------------------
@@ -562,124 +971,136 @@ class ShardedEngine:
                 break
         return sorted(ids)
 
-    def _live_home(self, oid: int) -> int | None:
-        """Shard currently holding ``oid``'s current entry, if any.
+    def _live_cur(self, oid: int,
+                  now: int) -> tuple[int, int, int, int] | None:
+        """The mirror's current entry of ``oid`` as of clock ``now``.
 
-        The home map is maintained eagerly on routing but window drops
-        remove current entries shard-side; stale homes are reaped here.
+        Applies the shards' window-drop rule (a current entry whose
+        start window has been dropped is gone), so a report routed at
+        time ``now`` never finalises a record the shard discarded.
         """
-        home = self._home.get(oid)
-        if home is None:
+        cur = self._cur.get(oid)
+        w_max = self.config.w_max
+        if cur is not None and cur[3] // w_max < now // w_max - 1:
             return None
-        if oid not in self._shards[home]._current:
-            del self._home[oid]
-            return None
-        return home
+        return cur
 
-    # -- resilient fan-out -----------------------------------------------------
+    def _route_current(self, batches: Batches, oid: int, x: int, y: int,
+                       t: int) -> None:
+        """Queue one current-entry report, crossing shards if need be.
 
-    def _dispatchable(self, shard_ids: list[int]
-                      ) -> tuple[list[int], list[ShardFailure]]:
-        """Split ``shard_ids`` by circuit breaker state.
-
-        Shards whose breaker is open are failed up front (typed
-        :class:`CircuitOpenError`, no dispatch); the rest are returned
-        for fan-out.
+        Mirrors the single-index protocol: a live current entry in
+        another shard is finalised there with its real duration (or,
+        re-reported at the same timestamp, deleted as a position
+        correction) before the new one is inserted into the destination
+        shard, which itself handles a previous entry it holds.
         """
-        dispatch: list[int] = []
-        failures: list[ShardFailure] = []
-        for sid in shard_ids:
-            breaker = self._breakers[sid]
-            if breaker is not None and not breaker.allow():
-                failures.append(ShardFailure(
-                    sid, self.shard_path(sid), CircuitOpenError(sid)))
-            else:
-                dispatch.append(sid)
-        return dispatch, failures
+        dest = self._shard_id_of(x, y)
+        cur = self._live_cur(oid, t)
+        if cur is not None and cur[0] != dest:
+            home, px, py, ps = cur
+            batches.setdefault(home, []).append(
+                (OP_DELETE, (oid, px, py, ps, NONE_ARG)) if ps == t
+                else (OP_CLOSE, (oid, t)))
+        batches.setdefault(dest, []).append(
+            (OP_INSERT, (oid, x, y, t, NONE_ARG)))
+        self._cur[oid] = (dest, x, y, t)
 
-    def _fan_out_query(self, shard_ids: list[int], method: str,
-                       args: tuple[Any, ...]
-                       ) -> tuple[list[tuple[int, Any]], list[ShardFailure]]:
-        """Scatter one read-only method over ``shard_ids`` resiliently.
+    # -- mutation dispatch -----------------------------------------------------
 
-        Every dispatched task runs under the engine's retry policy;
-        outcomes are folded into the per-shard circuit breakers here on
-        the gathering side (executor callables never mutate shared
-        state).  Returns ``(successes, failures)`` where ``successes``
-        is ``(shard_id, result)`` pairs in ``shard_ids`` order and
-        ``failures`` is one typed :class:`ShardFailure` per shard that
-        was skipped (open breaker), exhausted its retries, or was
-        abandoned by a fan-out deadline.
+    def _dispatch(self, batches: Batches,
+                  advance_to: int | None = None) -> dict[int, list[Any]]:
+        """Apply per-shard op batches; optionally advance every clock.
+
+        With ``advance_to`` every shard whose clock is behind receives
+        a trailing ``OP_ADVANCE``.  Mutations are never retried: when
+        the transport fails, which shards applied their batch is
+        unknown, so the coordinator marks itself for resynchronisation
+        and re-raises.  (Re-submitting position reports is safe — a
+        re-report at the same timestamp is a position correction.)
         """
-        dispatch, failures = self._dispatchable(shard_ids)
-        if not dispatch:
-            return [], failures
-        policy = self._retry_policy
-        if getattr(self._executor, "remote", False):
-            if self._dir is None:
-                raise EngineError(
-                    "a remote (process) executor needs a disk-backed "
-                    "engine; this one is in-memory")
-            if self._mutated:
-                raise EngineError(
-                    "a remote (process) executor reopens shards from "
-                    "disk; call save() after mutating the engine")
-            config = dataclasses.replace(self.config, device_factory=None)
-            tasks = [(self.shard_path(sid), config, method, args, policy,
-                      self._epoch)
-                     for sid in dispatch]
-
-            def run() -> list[tuple[str, Any]]:
-                return self._executor.map(_remote_query_task, tasks,
-                                          timeout=self._task_timeout)
-        else:
-            shards = self._shards
-
-            def local_task(sid: int) -> tuple[str, Any]:
-                return _guarded_call(
-                    policy, lambda: getattr(shards[sid], method)(*args))
-
-            def run() -> list[tuple[str, Any]]:
-                return self._executor.map(local_task, dispatch,
-                                          timeout=self._task_timeout)
+        if advance_to is not None:
+            for sid in range(self.n_shards):
+                if self._shard_clocks[sid] < advance_to:
+                    batches.setdefault(sid, [])
+        # Reach every target before the clock moves: a restarted worker
+        # catches up to the pre-batch clock, and the batch's own ops
+        # (which may carry times below ``advance_to``) apply on top.
+        self._transport.prepare(sorted(batches))
+        if advance_to is not None:
+            if advance_to > self._clock:
+                self._move_clock(advance_to)
+            for ops in batches.values():
+                ops.append((OP_ADVANCE, (advance_to,)))
         try:
-            outcomes = run()
-        except TaskTimeoutError as exc:
-            # The whole gather is abandoned: the timed-out task may
-            # still be running, and tasks after it were never collected.
-            # Timeouts are not retried (the worker may still hold the
-            # shard) and only the overrunning shard's breaker records a
-            # failure — its siblings were merely collateral.
-            timed_sid = dispatch[exc.item_index]
-            breaker = self._breakers[timed_sid]
-            if breaker is not None:
-                breaker.record_failure()
-            for sid in dispatch:
-                error: EngineError = exc if sid == timed_sid else \
-                    EngineError(f"fan-out abandoned after shard "
-                                f"{timed_sid} exceeded its deadline")
-                failures.append(ShardFailure(
-                    sid, self.shard_path(sid), error))
-            return [], failures
-        successes: list[tuple[int, Any]] = []
-        for sid, (tag, value) in zip(dispatch, outcomes):
-            breaker = self._breakers[sid]
-            if tag == "ok":
-                if breaker is not None:
-                    breaker.record_success()
-                successes.append((sid, value))
-            else:
-                if breaker is not None:
-                    breaker.record_failure()
-                failures.append(ShardFailure(
-                    sid, self.shard_path(sid), value))
-        return successes, failures
+            results = self._transport.apply(batches)
+        except BaseException:
+            self._needs_resync = True
+            raise
+        if advance_to is not None:
+            for sid in batches:
+                self._shard_clocks[sid] = advance_to
+        return results
 
-    def _raise_shard_failure(self, failures: list[ShardFailure]) -> None:
-        """Strict mode: surface the first shard failure as a typed error."""
-        failure = failures[0]
-        raise ShardQueryError(failure.shard_id, failure.path,
-                              failure.error) from failure.error
+    def _move_clock(self, now: int) -> None:
+        """Advance the lockstep clock; reap mirror entries it drops."""
+        w_max = self.config.w_max
+        if now // w_max != self._clock // w_max:
+            horizon = now // w_max - 1
+            self._cur = {oid: cur for oid, cur in self._cur.items()
+                         if cur[3] // w_max >= horizon}
+        # Queriable period changed: no engine-level plan survives a
+        # slide (entries are clock-fenced besides, see PlanCache).
+        self._plans.invalidate()
+        self._clock = now
+
+    def _restarted(self, shard_id: int, now: int) -> int:
+        """Fold a restarted shard's clock in; returns the clock to reach.
+
+        A shard that replayed acknowledged-but-unreported ops may be
+        ahead of the coordinator: the clock follows it and the siblings
+        are resynchronised before the next fan-out.
+        """
+        if now > self._clock:
+            self._move_clock(now)
+            self._needs_resync = True
+        self._shard_clocks[shard_id] = self._clock
+        return self._clock
+
+    def _resync(self) -> None:
+        """Re-derive the clock and the mirror from the shards.
+
+        Runs at start-up and after a failed dispatch, and realigns
+        straggling shard clocks with (logged) advances.
+        """
+        self._needs_resync = False
+        try:
+            states = self._transport.request_all("resync")
+            self._clock = max(self._clock,
+                              *(state["now"] for state in states))
+            self._cur.clear()
+            for sid, state in enumerate(states):
+                self._shard_clocks[sid] = state["now"]
+                for oid, (x, y, s) in state["current"].items():
+                    other = self._cur.get(oid)
+                    if other is None or other[3] < s:
+                        self._cur[oid] = (sid, x, y, s)
+            stragglers: Batches = {
+                sid: [(OP_ADVANCE, (self._clock,))]
+                for sid in range(self.n_shards)
+                if self._shard_clocks[sid] < self._clock}
+            if stragglers:
+                self._transport.apply(stragglers)
+                for sid in stragglers:
+                    self._shard_clocks[sid] = self._clock
+        except BaseException:
+            self._needs_resync = True
+            raise
+
+    def _settled(self) -> None:
+        """Resync if the last mutation dispatch ended in a failure."""
+        if self._needs_resync:
+            self._resync()
 
     # -- insertion and updates -------------------------------------------------
 
@@ -692,6 +1113,7 @@ class ShardedEngine:
         current protocol handled by the engine.
         """
         self._check_open()
+        self._settled()
         if not self.config.space.contains(x, y):
             raise ValueError(f"location ({x}, {y}) outside the spatial "
                              f"domain {self.config.space}")
@@ -700,59 +1122,34 @@ class ShardedEngine:
                              f"time {self._clock}")
         if d is not None and d < 1:
             raise ValueError(f"duration must be >= 1, got {d}")
-        self.advance_time(s)
+        batches: Batches = {}
         if d is not None:
-            self._shards[self._shard_id_of(x, y)].insert(oid, x, y, s, d)
-            return
-        self._route_report(oid, x, y, s)
+            batches[self._shard_id_of(x, y)] = [(OP_INSERT,
+                                                 (oid, x, y, s, d))]
+        else:
+            self._route_current(batches, oid, x, y, s)
+        self._dispatch(batches, advance_to=s)
 
     def report(self, oid: int, x: int, y: int, t: int) -> None:
         """Position report of a moving object (alias of a current insert)."""
         self.insert(oid, x, y, t, None)
 
-    def _route_report(self, oid: int, x: int, y: int, s: int) -> None:
-        """Current-entry protocol across shards, clock already advanced.
-
-        Mirrors the single-index protocol exactly: a re-report at the
-        same timestamp replaces the current entry (position correction);
-        otherwise the previous current entry — wherever it lives — is
-        finalised with its real duration before the new one is inserted
-        into the destination shard.
-        """
-        self._mutated = True
-        home = self._live_home(oid)
-        dest_id = self._shard_id_of(x, y)
-        dest = self._shards[dest_id]
-        if home is not None:
-            home_shard = self._shards[home]
-            px, py, ps = home_shard._current[oid]
-            if ps == s:
-                home_shard._physical_delete(Entry(oid, px, py, ps, None))
-                del home_shard._current[oid]
-            else:
-                del home_shard._current[oid]
-                home_shard._finalize_current(oid, (px, py, ps), end=s)
-        dest._physical_insert(Entry(oid, x, y, s, None))
-        dest._current[oid] = (x, y, s)
-        self._home[oid] = dest_id
-
     def extend(self, reports: Iterable[ReportLike],
                batch_size: int = 1024) -> int:
-        """Batched ingestion: split per shard and ingest in parallel.
+        """Batched ingestion: one op batch per shard per epoch run.
 
         Reports are consumed in chunks of ``batch_size``; each chunk is
-        validated, split into ``Wmax``-epoch runs (window drops only
-        fire at epoch boundaries), and every run is partitioned by
-        destination shard.  Objects whose reports stay within one shard
-        are ingested per shard — in parallel on the engine's executor —
-        through the same cell-grouped batch path as
-        :meth:`SWSTIndex.extend`; objects whose current entry hops
-        between shards take the serial cross-shard protocol first
-        (reports of distinct objects commute within a run).
+        validated and split into ``Wmax``-epoch runs (window drops only
+        fire at epoch boundaries).  Objects whose reports stay within
+        one shard ride one cell-grouped ``OP_RUN`` per shard — the same
+        batch path as :meth:`SWSTIndex.extend`; objects whose current
+        entry hops between shards take the cross-shard protocol in
+        stream order (reports of distinct objects commute within a run).
 
         Returns the number of reports ingested.
         """
         self._check_open()
+        self._settled()
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         count = 0
@@ -786,92 +1183,102 @@ class ShardedEngine:
         return len(batch)
 
     def _ingest_run(self, run: list[ReportLike]) -> None:
-        """One epoch run: serial cross-shard reports, then parallel rest."""
-        self.advance_time(run[-1].t)
-        self._mutated = True
-        # An object is shard-local when its live home (if any) and every
-        # destination cell of its reports in this run agree on one shard.
+        """One epoch run as per-shard op batches.
+
+        Cross-shard objects' ops come first in each shard's batch (in
+        stream order, each carrying its own clock bump), then the
+        shard's ``OP_RUN``, then the lockstep advance.
+        """
+        t_max = run[-1].t
+        dests = [self._shard_id_of(report.x, report.y) for report in run]
         touched: dict[int, set[int]] = {}
-        for report in run:
-            touched.setdefault(report.oid, set()).add(
-                self._shard_id_of(report.x, report.y))
+        for report, dest in zip(run, dests, strict=True):
+            touched.setdefault(report.oid, set()).add(dest)
         cross_shard: set[int] = set()
-        for oid, dests in touched.items():
-            home = self._live_home(oid)
-            if home is not None:
-                dests = dests | {home}
-            if len(dests) > 1:
+        for oid, shard_ids in touched.items():
+            cur = self._live_cur(oid, self._clock)
+            if len(shard_ids) > 1 or (cur is not None
+                                      and cur[0] not in shard_ids):
                 cross_shard.add(oid)
-        per_shard: dict[int, list[ReportLike]] = {}
-        for report in run:
-            if report.oid in cross_shard:
-                self._route_report(report.oid, report.x, report.y, report.t)
+        batches: Batches = {}
+        runs: dict[int, list[int]] = {}
+        for report, dest in zip(run, dests, strict=True):
+            oid, x, y, t = report.oid, report.x, report.y, report.t
+            if oid in cross_shard:
+                self._route_current(batches, oid, x, y, t)
             else:
-                sid = self._shard_id_of(report.x, report.y)
-                per_shard.setdefault(sid, []).append(report)
-                self._home[report.oid] = sid
-        if not per_shard:
-            return
-        # Every shard clock already sits at the run maximum, so the
-        # per-shard dispatch skips the advance and goes straight to the
-        # cell-grouped ingest body.  Ingestion mutates, so it never
-        # retries and ignores the breaker state: a half-applied batch
-        # must surface, not be papered over.
-        items = sorted(per_shard.items())
-        if len(items) == 1 or getattr(self._executor, "remote", False):
-            for sid, sub_run in items:
-                self._shards[sid]._ingest_run_reports(sub_run)
-            return
-        self._executor.map(
-            lambda item: self._shards[item[0]]._ingest_run_reports(item[1]),
-            items)
+                runs.setdefault(dest, [t_max]).extend((oid, x, y, t))
+                self._cur[oid] = (dest, x, y, t)
+        for sid, args in runs.items():
+            batches.setdefault(sid, []).append((OP_RUN, tuple(args)))
+        self._dispatch(batches, advance_to=t_max)
 
     def close_object(self, oid: int, t: int) -> bool:
         """Finalise an object's current entry at end time ``t``."""
         self._check_open()
-        self.advance_time(t)
-        home = self._live_home(oid)
-        if home is None:
+        self._settled()
+        if t < self._clock:
+            raise ValueError(f"clock cannot move backwards "
+                             f"({t} < {self._clock})")
+        cur = self._live_cur(oid, t)
+        if cur is None:
+            self._dispatch({}, advance_to=t)
             return False
-        # Let the shard validate first: a rejected close must not drop
-        # the engine's home-map entry for a still-live current record.
-        closed = self._shards[home].close_object(oid, t)
-        self._mutated = True
-        self._home.pop(oid, None)
+        if t <= cur[3]:
+            # Fail before anything is dispatched, exactly as the shard
+            # itself would refuse — the mirror entry stays.
+            raise ValueError(f"object {oid} cannot be finalised at {t} "
+                             f"<= its current start {cur[3]}")
+        home = cur[0]
+        del self._cur[oid]
+        results = self._dispatch({home: [(OP_CLOSE, (oid, t))]},
+                                 advance_to=t)
+        closed: bool = results[home][0]
         return closed
 
     def delete(self, oid: int, x: int, y: int, s: int,
                d: int | None = None) -> bool:
         """Delete one specific entry from the shard owning its cell."""
         self._check_open()
+        self._settled()
         sid = self._shard_id_of(x, y)
-        if not self._shards[sid].delete(oid, x, y, s, d):
-            return False
-        self._mutated = True
-        if d is None and self._home.get(oid) == sid \
-                and oid not in self._shards[sid]._current:
-            del self._home[oid]
-        return True
+        results = self._dispatch(
+            {sid: [(OP_DELETE,
+                    (oid, x, y, s, NONE_ARG if d is None else d))]})
+        deleted: bool = results[sid][0]
+        if deleted and d is None and self._cur.get(oid) == (sid, x, y, s):
+            del self._cur[oid]
+        return deleted
 
     def set_retention(self, oid: int, retention: int | None) -> None:
         """Per-object retention override, applied to every shard."""
         self._check_open()
-        self._mutated = True
-        for shard in self._shards:
-            shard.set_retention(oid, retention)
+        self._settled()
+        if retention is not None \
+                and not 1 <= retention <= self.config.window:
+            raise ValueError(
+                f"retention must be in [1, W={self.config.window}], "
+                f"got {retention}")
+        arg = NONE_ARG if retention is None else retention
+        self._dispatch({sid: [(OP_RETAIN, (oid, arg))]
+                        for sid in range(self.n_shards)})
 
     def retention_of(self, oid: int) -> int:
         """The object's retention time (defaults to the window size)."""
         self._check_open()
-        return self._shards[0].retention_of(oid)
+        retention: int = self._transport.request(
+            0, "query", ("retention_of", (oid,)))
+        return retention
 
     def forget_object(self, oid: int) -> int:
         """Delete every queriable entry of one object across all shards."""
         self._check_open()
-        self._mutated = True
-        deleted = sum(shard.forget_object(oid) for shard in self._shards)
-        self._home.pop(oid, None)
-        return deleted
+        self._settled()
+        results = self._dispatch({sid: [(OP_FORGET, (oid,))]
+                                  for sid in range(self.n_shards)})
+        self._cur.pop(oid, None)
+        deleted: list[int] = [result[0] for result in results.values()]
+        return sum(deleted)
 
     # -- coordinated sliding window --------------------------------------------
 
@@ -884,20 +1291,14 @@ class ShardedEngine:
         afterwards sees the same window boundary on every shard.
         """
         self._check_open()
+        self._settled()
         if now < self._clock:
             raise ValueError(f"clock cannot move backwards "
                              f"({now} < {self._clock})")
-        if now == self._clock and all(shard.now == now
-                                      for shard in self._shards):
+        if now == self._clock \
+                and all(clock == now for clock in self._shard_clocks):
             return
-        self._mutated = True
-        if now != self._clock:
-            # Queriable period changed: no engine-level plan survives a
-            # slide (entries are clock-fenced besides, see PlanCache).
-            self._plans.invalidate()
-        for shard in self._shards:
-            shard.advance_time(now)
-        self._clock = now
+        self._dispatch({}, advance_to=now)
 
     # -- queries ---------------------------------------------------------------
 
@@ -910,11 +1311,9 @@ class ShardedEngine:
         engine derives the plan **once** per temporal signature, caches
         it, and fans out only the per-cell search.  The same immutable
         plan object is shipped to every shard task, including *retried*
-        tasks: a retry re-enters ``_query_area_planned`` with the
-        original plan instead of re-deriving it (and, on the process
-        path, instead of re-running the whole public query), so retries
-        cannot skew the classification work or double-derive state.
-        Returns ``None`` when no s-partition column qualifies.
+        tasks (and, pickled, to worker processes), so retries cannot
+        skew the classification work or double-derive state.  Returns
+        ``None`` when no s-partition column qualifies.
         """
         entry = self._plans.lookup(t_lo, t_hi, window, self._clock)
         if entry is not None:
@@ -928,6 +1327,25 @@ class ShardedEngine:
                                 t_hi, window)
         self._plans.store(plan, t_lo, t_hi, window)
         return plan
+
+    def _fan_out_query(self, shard_ids: list[int], method: str,
+                       args: tuple[Any, ...]
+                       ) -> tuple[list[tuple[int, Any]], list[ShardFailure]]:
+        """Run one read method on ``shard_ids`` through the transport.
+
+        Returns ``(successes, failures)``: ``(shard_id, result)`` pairs
+        in shard order, and one typed :class:`ShardFailure` per shard
+        that was skipped (open breaker), exhausted its retries, or was
+        abandoned by a fan-out deadline.
+        """
+        self._settled()
+        return self._transport.run(shard_ids, method, args)
+
+    def _raise_shard_failure(self, failures: list[ShardFailure]) -> None:
+        """Strict mode: surface the first shard failure as a typed error."""
+        failure = failures[0]
+        raise ShardQueryError(failure.shard_id, failure.path,
+                              failure.error) from failure.error
 
     def query_timeslice(self, area: Rect, t: int,
                         window: int | None = None, *,
@@ -953,10 +1371,6 @@ class ShardedEngine:
         shard_ids = self._shards_for_area(area)
         if not shard_ids:
             return merged
-        # One plan for the whole fan-out — local threads, process
-        # workers and retried tasks all evaluate the same frozen object
-        # (it is picklable, so the process path no longer re-derives
-        # classification on every attempt).
         plan = self._plan_for(t_lo, t_hi, window, merged.stats)
         if plan is None:
             return merged
@@ -1125,30 +1539,41 @@ class ShardedEngine:
     def scan(self) -> Iterator[Entry]:
         """Yield every physically stored entry (diagnostics/tests only)."""
         self._check_open()
-        for shard in self._shards:
-            yield from shard.scan()
+        for sid in range(self.n_shards):
+            yield from self._transport.request(sid, "scan")
 
     def check_integrity(self) -> None:
-        """Per-shard invariants plus the engine's own placement invariants."""
+        """Per-shard invariants plus the engine's own placement invariants:
+        lockstep clocks, every entry in the shard owning its cell, and a
+        mirror equal to the shards' current-entry tables."""
         self._check_open()
-        for shard_id, shard in enumerate(self._shards):
-            shard.check_integrity()
-            if shard.now != self._clock:
+        self._settled()
+        for sid in range(self.n_shards):
+            self._transport.request(sid, "query", ("check_integrity", ()))
+        states = self._transport.request_all("resync")
+        mirror: dict[int, tuple[int, int, int, int]] = {}
+        for sid, state in enumerate(states):
+            if state["now"] != self._clock:
                 raise AssertionError(
-                    f"shard {shard_id} clock {shard.now} != engine clock "
+                    f"shard {sid} clock {state['now']} != engine clock "
                     f"{self._clock}")
-            for (cx, cy), trees in shard._trees.items():
-                if any(tree is not None for tree in trees) \
-                        and self.shard_map.shard_of_cell(cx, cy) != shard_id:
+            for oid, (x, y, s) in state["current"].items():
+                if oid in mirror:
                     raise AssertionError(
-                        f"cell ({cx}, {cy}) stored in shard {shard_id}, "
-                        f"owned by shard "
-                        f"{self.shard_map.shard_of_cell(cx, cy)}")
-            for oid in shard._current:
-                if self._home.get(oid) != shard_id:
+                        f"object {oid} current in shards {mirror[oid][0]} "
+                        f"and {sid}")
+                mirror[oid] = (sid, x, y, s)
+            for entry in self._transport.request(sid, "scan"):
+                owner = self._shard_id_of(entry.x, entry.y)
+                if owner != sid:
                     raise AssertionError(
-                        f"object {oid} current in shard {shard_id} but "
-                        f"home map says {self._home.get(oid)}")
+                        f"entry {entry} stored in shard {sid}, its cell "
+                        f"is owned by shard {owner}")
+        if mirror != self._cur:
+            stray = sorted(set(mirror.items()) ^ set(self._cur.items()))
+            raise AssertionError(
+                f"current-entry mirror disagrees with the shards: "
+                f"{stray[:5]}")
 
     # -- persistence -----------------------------------------------------------
 
@@ -1167,208 +1592,82 @@ class ShardedEngine:
            header sync), in shard order.
         3. **FLIP** — atomically rewrite the manifest with the new epoch
            and the observed generations, then unlink the marker.
-        4. **SNAPSHOT** (``snapshots=True`` engines) — CoW-copy the
-           just-committed shard files into ``snapshots/<new epoch>/``
-           and prune older epochs' snapshots.
+        4. **CHECKPOINT** — the transport's post-commit step: a CoW
+           snapshot of the clean shard files (in-process shards), or a
+           base refresh plus WAL reset to the new epoch (workers).
 
-        The snapshot runs *after* the commit, while every page file is
-        provably clean — a pre-save copy could capture uncommitted
-        pages the buffer pool evicted over the committed state during
-        normal mutation, and restoring such a copy reproduces the
-        corruption instead of undoing it.  A crash anywhere in the
-        protocol leaves a directory that ``open()`` classifies
-        deterministically from the marker: roll back (no shard
-        committed), roll forward (all did), or — for the middle window
-        of mixed in-place commits — restore every shard from the
-        previous epoch's snapshot and roll back.  Without a snapshot
-        that middle is unrecoverable and raises a typed
-        :class:`EpochTornError`.  A crash after the flip at worst loses
-        the new epoch's snapshot, which ``open()`` rewrites.
+        A failure before the flip lands is handed to the transport
+        (workers are killed and the marker resolved at once, so no
+        worker keeps acknowledging into a superseded WAL); a crash
+        anywhere leaves a directory that ``open()`` classifies
+        deterministically from the marker.
 
         Memory-backed engines and legacy v1 shard files skip the
         protocol and save each shard directly (no generations to
         record).
         """
         self._check_open()
-        if self._dir is None \
-                or any(shard.pager.format_version != 2
-                       for shard in self._shards):
-            for shard in self._shards:
-                shard.save()
-            self._mutated = False
-            return
+        self._settled()
+        # Lockstep clocks first, so the committed shards agree.
+        self.advance_time(self._clock)
         next_epoch = self._epoch + 1
-        expected = [shard.pager.generation
-                    + (1 if shard.pager.session_marked else 2)
-                    for shard in self._shards]
-        self._write_json_atomic(
-            self._prepare_path(),
-            {"format": _MANIFEST_FORMAT, "epoch": next_epoch,
-             "n_shards": self.n_shards, "expected": expected})
-        for shard in self._shards:
-            shard.save()
-        gens = [shard.pager.generation for shard in self._shards]
-        self._write_json_atomic(
-            self._manifest_path(),
-            {"format": _MANIFEST_FORMAT, "n_shards": self.n_shards,
-             "epoch": next_epoch, "shards": gens,
-             "generation": self._generation})
-        self._fops.unlink(self._prepare_path())
-        assert self._dir is not None
-        self._fops.fsync_dir(self._dir)
-        self._epoch = next_epoch
-        self._mutated = False
-        if self._snapshots:
-            self._write_epoch_snapshot()
-            self._prune_snapshots(keep_epoch=next_epoch)
-
-    def _snapshot_root(self) -> str:
-        assert self._dir is not None
-        return os.path.join(self._dir, _SNAPSHOTS_DIR)
-
-    def _ensure_snapshot(self) -> None:
-        """Write ``snapshots/<epoch>/`` when absent or incomplete.
-
-        Runs at construction and after every successful ``open()`` —
-        the two other moments (besides a completed save) when every
-        shard file is provably clean-committed.  Covers directories
-        saved before snapshots existed, a crash between the manifest
-        flip and the snapshot step, and a freshly resharded or
-        rolled-forward directory.  Copies are atomic, so presence of
-        all ``n_shards`` files means the snapshot is whole.
-        """
-        assert self._dir is not None
-        snap = snapshot_dir(self._dir, self._epoch)
-        if all(os.path.exists(os.path.join(snap, _shard_file_name(sid)))
-               for sid in range(self.n_shards)):
-            return
-        self._write_epoch_snapshot()
-
-    def _write_epoch_snapshot(self) -> None:
-        """CoW-copy every shard file into ``snapshots/<epoch>/``.
-
-        Only runs while every page file is clean-committed (right
-        after a save, at open, at construction), so the copies freeze
-        exactly the committed state of ``self._epoch``.  A later save
-        torn between in-place shard commits — or a mid-session crash
-        that left uncommitted evicted pages over a committed file —
-        restores every shard from here (:meth:`_restore_snapshot`)
-        instead of raising :class:`EpochTornError` or refusing to
-        open.
-        """
-        assert self._dir is not None
-        fops = self._fops
-        snap_root = self._snapshot_root()
-        snap = snapshot_dir(self._dir, self._epoch)
-        fops.mkdir(snap_root)
-        fops.mkdir(snap)
-        for shard_id in range(self.n_shards):
-            fops.copy_file(self.shard_path(shard_id),
-                           os.path.join(snap, _shard_file_name(shard_id)))
-        fops.fsync_dir(snap)
-        fops.fsync_dir(snap_root)
-        fops.fsync_dir(self._dir)
-
-    def _prune_snapshots(self, keep_epoch: int) -> None:
-        """Drop snapshot directories of epochs older than ``keep_epoch``.
-
-        Runs after the flip committed, so a crash anywhere in here costs
-        only disk space — stale directories are re-pruned by the next
-        save.
-        """
-        snap_root = self._snapshot_root()
         try:
-            names = sorted(os.listdir(snap_root))
-        except OSError:
-            return
-        fops = self._fops
-        pruned = False
-        for name in names:
-            if not name.isdigit() or int(name) >= keep_epoch:
-                continue
-            stale = os.path.join(snap_root, name)
-            for file_name in sorted(os.listdir(stale)):
-                fops.unlink(os.path.join(stale, file_name))
-            fops.rmdir(stale)
-            pruned = True
-        if pruned:
-            fops.fsync_dir(snap_root)
-
-    @classmethod
-    def open(cls, path: str, config: SWSTConfig,
-             executor: Executor | None = None, *,
-             retry_policy: RetryPolicy | None = None,
-             breaker_factory: Callable[[], CircuitBreaker] | None
-             = CircuitBreaker,
-             task_timeout: float | None = None,
-             file_ops: FileOps | None = None,
-             snapshots: bool = True) -> "ShardedEngine":
-        """Re-open a saved shard directory, recovering it as one unit.
-
-        A leftover PREPARE marker (crashed save) is resolved *before*
-        any shard opens: the marker's expected generations are compared
-        against each shard's committed header generation — probed
-        passively, without opening (opening itself commits a header) —
-        and the directory rolls back, rolls forward, restores the
-        committed shards from the epoch's CoW snapshot (mixed commits
-        with a complete ``snapshots/<epoch>/``), or raises a typed
-        :class:`EpochTornError`.  Then each shard runs the storage
-        layer's full recovery-on-open; the first shard that fails raises
-        :class:`ShardOpenError` naming it.  Under a format-2 manifest
-        the shards must agree on one clock and sit at or above their
-        recorded generations — disagreement means the directory mixes
-        snapshots and is refused with a typed error rather than
-        heuristically resynchronised.  Format-1 directories keep the
-        legacy behaviour (newest-shard clock resync).
-        """
-        engine = cls.__new__(cls)
-        engine.config = config
-        engine._init_common(executor, retry_policy, breaker_factory,
-                            task_timeout, file_ops)
-        engine._snapshots = snapshots
-        engine._dir = os.fspath(path)
-        engine._shards = []
-        try:
-            manifest = load_manifest(
-                os.path.join(engine._dir, _MANIFEST_NAME))
-            if manifest["n_shards"] != config.n_shards:
-                raise EngineError(
-                    f"directory {engine._dir!r} holds "
-                    f"{manifest['n_shards']} shards but config.n_shards "
-                    f"is {config.n_shards}")
-            engine._generation = manifest["generation"]
-            # Marker recovery runs for *both* formats: a crashed save
-            # from a legacy directory leaves a marker next to a still-
-            # format-1 manifest (the flip is what upgrades it).
-            manifest = engine._recover_epoch(manifest)
-            if manifest["format"] >= 2:
-                engine._open_shards_v2(manifest)
-                if snapshots and all(shard.pager.format_version == 2
-                                     for shard in engine._shards):
-                    engine._ensure_snapshot()
-            else:
-                engine._open_shards_legacy()
+            infos = [] if self._dir is None \
+                else self._transport.request_all("gen_info")
+            if any(version != 2 for version, _, _ in infos) or not infos:
+                self._transport.request_all("save")
+                return
+            expected = [generation + (1 if marked else 2)
+                        for _, generation, marked in infos]
+            self._write_json_atomic(
+                self._prepare_path(),
+                {"format": _MANIFEST_FORMAT, "epoch": next_epoch,
+                 "n_shards": self.n_shards, "expected": expected})
+            gens = [self._transport.request(sid, "save")
+                    for sid in range(self.n_shards)]
+            self._write_json_atomic(
+                self._manifest_path(),
+                {"format": _MANIFEST_FORMAT, "n_shards": self.n_shards,
+                 "epoch": next_epoch, "shards": gens,
+                 "generation": self._generation})
+            self._fops.unlink(self._prepare_path())
+            assert self._dir is not None
+            self._fops.fsync_dir(self._dir)
         except BaseException:
-            engine._abandon()
+            self._transport.save_failed()
             raise
-        return engine
+        self._epoch = next_epoch
+        self._transport.checkpoint(next_epoch)
 
-    def _recover_epoch(self, manifest: dict[str, Any]) -> dict[str, Any]:
+    def _recover(self) -> dict[str, Any]:
+        """Load the manifest and resolve a leftover save marker."""
+        manifest = load_manifest(self._manifest_path())
+        if manifest["n_shards"] != self.n_shards:
+            raise EngineError(
+                f"directory {self._dir!r} holds {manifest['n_shards']} "
+                f"shards but config.n_shards is {self.n_shards}")
+        self._generation = manifest["generation"]
+        # Marker recovery runs for *both* formats: a crashed save from a
+        # legacy directory leaves a marker next to a still-format-1
+        # manifest (the flip is what upgrades it).
+        manifest = self._resolve_marker(manifest)
+        self._epoch = manifest["epoch"]
+        return manifest
+
+    def _resolve_marker(self, manifest: dict[str, Any]) -> dict[str, Any]:
         """Resolve a leftover PREPARE marker; returns the manifest to use.
 
-        Classification against the marker's expected generations:
+        The marker's expected generations are compared against each
+        shard's committed header generation — probed passively, without
+        opening (opening itself commits a header):
 
         * marker epoch == manifest epoch: the flip landed, only the
           marker cleanup was lost — finish it.
-        * no shard reached its expected generation: nothing committed,
-          the old snapshot is intact — **roll back** (drop the marker).
-        * every shard reached it: the save fully committed, only the
-          flip was lost — **roll forward** (rewrite the manifest).
-        * anything in between: the in-place storage layer cannot undo a
-          committed shard, so the directory mixes epochs.  When the
-          save left a complete CoW snapshot of the old epoch, the
-          committed shards are **restored** from it and the whole
-          directory rolls back; otherwise raise
+        * every shard reached its expected generation: the save fully
+          committed, only the flip was lost — **roll forward**.
+        * otherwise the transport settles it (:meth:`ShardTransport.
+          settle_torn`): roll back — restoring the epoch's snapshot
+          where one exists — or roll forward over the WALs, or raise
           :class:`EpochTornError`.
         """
         prepare = _load_prepare(self._prepare_path())
@@ -1380,164 +1679,28 @@ class ShardedEngine:
                 f"{prepare['n_shards']} shards but the manifest holds "
                 f"{self.n_shards}")
         epoch: int = manifest["epoch"]
-        if prepare["epoch"] == epoch:
-            self._fops.unlink(self._prepare_path())
-            assert self._dir is not None
-            self._fops.fsync_dir(self._dir)
-            return manifest
-        if prepare["epoch"] != epoch + 1:
-            raise EngineError(
-                f"save marker epoch {prepare['epoch']} is inconsistent "
-                f"with manifest epoch {epoch} in {self._dir!r} "
-                f"(external tampering?)")
-        observed, committed, pending = probe_prepare_state(
-            prepare, [self.shard_path(sid) for sid in range(self.n_shards)])
-        assert self._dir is not None
-        if len(committed) == self.n_shards:
-            gens = [gen if gen is not None else 0 for gen in observed]
-            rolled = {"format": _MANIFEST_FORMAT,
-                      "n_shards": self.n_shards,
-                      "epoch": prepare["epoch"], "shards": gens,
-                      "generation": self._generation}
-            self._write_json_atomic(self._manifest_path(), rolled)
-            self._fops.unlink(self._prepare_path())
-            self._fops.fsync_dir(self._dir)
-            return rolled
-        if not committed:
-            # Even with no shard committed, the crashed save's write
-            # window may have evicted uncommitted pages over the
-            # committed snapshot in place (the storage layer's sweep
-            # refuses such a file); restoring from the epoch snapshot —
-            # when one exists — makes the rollback exact regardless.
-            self._restore_snapshot(epoch)
-            self._fops.unlink(self._prepare_path())
-            self._fops.fsync_dir(self._dir)
-            return manifest
-        if self._restore_snapshot(epoch):
-            self._fops.unlink(self._prepare_path())
-            self._fops.fsync_dir(self._dir)
-            return manifest
-        raise EpochTornError(prepare["epoch"], committed, pending)
-
-    def _restore_snapshot(self, epoch: int) -> bool:
-        """Roll every shard back to its ``snapshots/<epoch>/`` copy.
-
-        Returns False (directory untouched) unless the snapshot holds a
-        copy for *every* shard — a partial restore would just move the
-        tear.  All shards are restored, not only the ones that committed
-        the interrupted epoch: a shard that never committed may still
-        have had uncommitted pages evicted over its committed state in
-        place, which the storage layer's recovery sweep refuses to open.
-        Each restore is an atomic durable copy, so a crash mid-restore
-        re-enters recovery and converges.
-        """
-        assert self._dir is not None
-        snap = snapshot_dir(self._dir, epoch)
-        sources = {sid: os.path.join(snap, _shard_file_name(sid))
-                   for sid in range(self.n_shards)}
-        if not all(os.path.exists(source) for source in sources.values()):
-            return False
-        fops = self._fops
-        for sid, source in sources.items():
-            fops.copy_file(source, self.shard_path(sid))
-        fops.fsync_dir(generation_dir(self._dir, self._generation))
-        return True
-
-    def _open_shard_files(self) -> None:
-        """Open every shard file; on failure close what was opened."""
-        opened: list[SWSTIndex] = []
-        try:
-            for shard_id in range(self.n_shards):
-                shard_path = self.shard_path(shard_id)
-                try:
-                    opened.append(SWSTIndex.open(shard_path, self.config))
-                except Exception as exc:
-                    raise ShardOpenError(shard_id, shard_path,
-                                         exc) from exc
-        except BaseException:
-            for shard in opened:
-                with contextlib.suppress(StorageError, OSError):
-                    shard.close()
-            raise
-        self._shards.extend(opened)
-
-    def _open_shards_v2(self, manifest: dict[str, Any]) -> None:
-        """Open every shard and verify it sits at the manifest epoch.
-
-        A shard that refuses to open — typically a mid-session crash
-        after the buffer pool evicted uncommitted pages over the
-        committed state in place, which the storage layer's recovery
-        sweep rejects — is retried once after restoring *every* shard
-        from the committed epoch's CoW snapshot.  The snapshot was
-        written while the files were clean, so the retry reopens the
-        exact last-saved state; without a usable snapshot the original
-        :class:`ShardOpenError` propagates.
-        """
-        try:
-            try:
-                self._open_shard_files()
-            except ShardOpenError:
-                if not self._snapshots \
-                        or not self._restore_snapshot(manifest["epoch"]):
-                    raise
-                self._open_shard_files()
-        except BaseException:
-            self._abandon()
-            raise
-        gens: list[int] = manifest["shards"]
-        for shard_id, shard in enumerate(self._shards):
-            if shard.pager.format_version == 2 \
-                    and shard.pager.generation < gens[shard_id]:
+        if prepare["epoch"] != epoch:
+            if prepare["epoch"] != epoch + 1:
                 raise EngineError(
-                    f"shard {shard_id} is behind the manifest: committed "
-                    f"generation {shard.pager.generation} < recorded "
-                    f"{gens[shard_id]} (page file replaced or restored "
-                    f"from an older backup?)")
-        clocks = {shard.now for shard in self._shards}
-        if len(clocks) > 1:
-            raise EngineError(
-                f"shard clocks disagree under manifest epoch "
-                f"{manifest['epoch']}: {sorted(clocks)}; the directory "
-                f"mixes snapshots (restore from backup)")
-        self._clock = self._shards[0].now
-        self._epoch = manifest["epoch"]
-        self._mutated = False
-        self._rebuild_home()
-
-    def _open_shards_legacy(self) -> None:
-        """Format-1 open: per-shard recovery plus heuristic clock resync.
-
-        A crash between the old per-shard saves can leave a lagging
-        shard, whose pending window drops then fire here.  The first
-        ``save()`` upgrades the directory to the epoch protocol.
-        """
-        try:
-            for shard_id in range(self.n_shards):
-                shard_path = self.shard_path(shard_id)
-                try:
-                    self._shards.append(
-                        SWSTIndex.open(shard_path, self.config))
-                except Exception as exc:
-                    raise ShardOpenError(shard_id, shard_path, exc) from exc
-        except BaseException:
-            self._abandon()
-            raise
-        self._clock = max(shard.now for shard in self._shards)
-        lagging = any(shard.now != self._clock for shard in self._shards)
-        for shard in self._shards:
-            shard.advance_time(self._clock)
-        self._mutated = lagging
-        self._epoch = 0
-        self._rebuild_home()
-
-    def _rebuild_home(self) -> None:
-        """Rebuild the oid -> home-shard map from shard current tables."""
-        for shard_id, shard in enumerate(self._shards):
-            for oid, (_, _, s) in shard.current_objects().items():
-                other = self._home.get(oid)
-                if other is None or \
-                        self._shards[other]._current[oid][2] < s:
-                    self._home[oid] = shard_id
+                    f"save marker epoch {prepare['epoch']} is inconsistent "
+                    f"with manifest epoch {epoch} in {self._dir!r} "
+                    f"(external tampering?)")
+            observed, committed, pending = probe_prepare_state(
+                prepare,
+                [self.shard_path(sid) for sid in range(self.n_shards)])
+            if not pending or self._transport.settle_torn(
+                    epoch, committed, pending, prepare["epoch"]):
+                manifest = {"format": _MANIFEST_FORMAT,
+                            "n_shards": self.n_shards,
+                            "epoch": prepare["epoch"],
+                            "shards": [gen if gen is not None else 0
+                                       for gen in observed],
+                            "generation": self._generation}
+                self._write_json_atomic(self._manifest_path(), manifest)
+        self._fops.unlink(self._prepare_path())
+        assert self._dir is not None
+        self._fops.fsync_dir(self._dir)
+        return manifest
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -1546,7 +1709,7 @@ class ShardedEngine:
             raise EngineClosedError("engine is closed")
 
     def close(self) -> None:
-        """Close every shard and (if owned) the executor.
+        """Close every shard through the transport.
 
         Every resource is closed even if an earlier one fails.  A single
         failure re-raises as itself; several raise an
@@ -1556,17 +1719,7 @@ class ShardedEngine:
         if self._closed:
             return
         self._closed = True
-        errors: list[BaseException] = []
-        for shard in self._shards:
-            try:
-                shard.close()
-            except BaseException as exc:
-                errors.append(exc)
-        if self._owns_executor:
-            try:
-                self._executor.close()
-            except BaseException as exc:
-                errors.append(exc)
+        errors = self._transport.close()
         if len(errors) == 1:
             raise errors[0]
         if errors:

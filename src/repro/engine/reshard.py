@@ -58,8 +58,9 @@ from ..core.index import SWSTIndex
 from ..storage.errors import StorageError
 from ..storage.fileops import DURABLE_FILE_OPS, FileOps
 from .engine import (_MANIFEST_FORMAT, _MANIFEST_NAME, _PREPARE_NAME,
-                     _SNAPSHOTS_DIR, ShardedEngine, _shard_file_name,
-                     generation_dir, load_manifest, write_json_atomic)
+                     _SNAPSHOTS_DIR, LocalShards, ShardedEngine,
+                     _shard_file_name, generation_dir, load_manifest,
+                     write_json_atomic)
 from .errors import ReshardError
 from .executor import Executor
 from .retry import CircuitBreaker
@@ -284,19 +285,23 @@ class GenerationBuild:
             fops.fsync_dir(self._gen_dir)
 
     def _new_engine(self) -> ShardedEngine:
-        """Fresh empty engine over the new generation's shard files."""
+        """Fresh empty engine over the new generation's shard files.
+
+        Built shard by shard rather than through ``ShardedEngine()``:
+        the manifest must not change before the flip, and the old
+        epoch's snapshot must not be touched.
+        """
         engine = ShardedEngine.__new__(ShardedEngine)
-        engine.config = self._new_config
-        engine._init_common(self._executor, None, CircuitBreaker, None,
-                            self._fops)
-        engine._snapshots = self._snapshots
-        engine._dir = self._dir
+        engine._setup(self._new_config, self._dir, None, CircuitBreaker,
+                      self._fops)
         engine._generation = self._new_generation
         engine._epoch = self._epoch
-        engine._shards = []
+        transport = LocalShards(engine, self._executor, None,
+                                self._snapshots)
+        engine._transport = transport
         try:
             for shard_id in range(self._new_config.n_shards):
-                engine._shards.append(
+                transport.shards.append(
                     SWSTIndex(self._new_config,
                               engine.shard_path(shard_id)))
         except BaseException:
@@ -307,7 +312,7 @@ class GenerationBuild:
     def _stream_entries(self) -> None:
         """Route every physical entry through the new shard map."""
         engine = self.engine
-        shards = engine._shards
+        shards = engine.shards
         for source in self._sources:
             for entry in source.scan():
                 shards[engine._shard_id_of(entry.x,
@@ -315,18 +320,19 @@ class GenerationBuild:
                 self._entries += 1
 
     def _carry_over_state(self) -> None:
-        """Current-entry table, home map and retentions follow the data."""
+        """Current-entry table, mirror and retentions follow the data."""
         engine = self.engine
         retentions: dict[int, int] = {}
         currents: dict[int, tuple[int, int, int]] = {}
         for source in self._sources:
             retentions.update(source._retentions)
             currents.update(source.current_objects())
+        shards = engine.shards
         for oid, (x, y, s) in currents.items():
             shard_id = engine._shard_id_of(x, y)
-            engine._shards[shard_id]._current[oid] = (x, y, s)
-            engine._home[oid] = shard_id
-        for shard in engine._shards:
+            shards[shard_id]._current[oid] = (x, y, s)
+            engine._cur[oid] = (shard_id, x, y, s)
+        for shard in shards:
             shard._retentions.update(retentions)
         self._currents = len(currents)
 
@@ -343,9 +349,9 @@ class GenerationBuild:
         """
         engine = self.engine
         fops = self._fops
-        for shard in engine._shards:
+        for shard in engine.shards:
             shard.save()
-        gens = [shard.pager.generation for shard in engine._shards]
+        gens = [shard.pager.generation for shard in engine.shards]
         fops.fsync_dir(self._gen_dir)
         write_json_atomic(
             fops, self._dir, os.path.join(self._dir, _MANIFEST_NAME),
@@ -354,13 +360,13 @@ class GenerationBuild:
              "epoch": self._epoch + 1, "shards": gens,
              "generation": self._new_generation})
         engine._epoch = self._epoch + 1
-        engine._mutated = False
         self._committed = True
         if self._snapshots:
             # The new shard files are clean (just saved): snapshot them
             # so the next save's torn window — or a mid-session crash —
             # stays recoverable without waiting for another save.
-            engine._write_epoch_snapshot()
+            assert isinstance(engine._transport, LocalShards)
+            engine._transport.write_snapshot()
         self._cleanup_old_generation()
         fops.fsync_dir(self._dir)
         old_map = GridShardMap(self._old_config.x_partitions,

@@ -39,10 +39,11 @@ Replay rules:
 * a WAL *behind* the manifest epoch is stale (its ops are already in the
   committed snapshot) and is reset, never replayed.
 
-Every op is one public :class:`~repro.core.index.SWSTIndex` method call,
-so "replay equals direct apply" is structural, not incidental; the
-engine validates arguments against its own mirror *before* logging, so
-replaying a valid log never raises.
+Every op is one :class:`~repro.core.index.SWSTIndex` method call made
+by :func:`apply_op`, the interpreter both shard transports mutate
+through, so "replay equals direct apply" is structural, not incidental;
+the engine validates arguments against its own mirror *before* logging,
+so replaying a valid log never raises.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import dataclasses
 import os
 import struct
 import zlib
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..storage.fileops import DURABLE_FILE_OPS, FileOps
 from .errors import WalCorruptError
@@ -205,40 +206,46 @@ def read_wal(path: str) -> WalScan:
                    valid_bytes=offset, total_bytes=len(blob))
 
 
-def apply_record(shard: "SWSTIndex", record: WalRecord) -> None:
-    """Apply one logged op to ``shard``.
+def apply_op(shard: "SWSTIndex", op: int, args: Sequence[int]) -> Any:
+    """Apply one op to ``shard``; returns the index method's result.
 
-    Total for records logged by the engine: argument validation happened
-    against the engine's mirror before the record was written, and
-    replay starts from the same base snapshot the log was written
-    against, so each call is replayed into exactly the state it
-    originally saw.
+    The single op interpreter: both shard transports mutate through it
+    (the worker after logging the batch, the in-process transport
+    directly) and WAL replay re-applies logged records through it.  It
+    is total for ops the engine issues: arguments are validated against
+    the engine's mirror before an op is built, and replay starts from
+    the same base snapshot the log was written against, so each call
+    sees exactly the state it originally saw.
     """
-    op, args = record.op, record.args
+    if op == OP_CLOSE:
+        return shard.close_object(args[0], args[1])
+    if op == OP_DELETE:
+        oid, x, y, s, d = args
+        return shard.delete(oid, x, y, s, None if d == NONE_ARG else d)
+    if op == OP_FORGET:
+        return shard.forget_object(args[0])
     if op == OP_ADVANCE:
         shard.advance_time(args[0])
     elif op == OP_INSERT:
         oid, x, y, s, d = args
         shard.insert(oid, x, y, s, None if d == NONE_ARG else d)
-    elif op == OP_CLOSE:
-        shard.close_object(args[0], args[1])
-    elif op == OP_DELETE:
-        oid, x, y, s, d = args
-        shard.delete(oid, x, y, s, None if d == NONE_ARG else d)
     elif op == OP_RETAIN:
         oid, retention = args
         shard.set_retention(oid,
                             None if retention == NONE_ARG else retention)
-    elif op == OP_FORGET:
-        shard.forget_object(args[0])
     elif op == OP_RUN:
-        t_max = args[0]
         reports = [WalReport(*args[base:base + 4])
                    for base in range(1, len(args), 4)]
-        shard.advance_time(t_max)
+        shard.advance_time(args[0])
         shard._ingest_run_reports(reports)
-    else:  # pragma: no cover - read_wal rejects unknown ops
+    else:
         raise WalCorruptError("<record>", f"unknown op {op}")
+    return None
+
+
+def apply_record(shard: "SWSTIndex", record: WalRecord) -> None:
+    """Apply one logged record to ``shard`` (see :func:`apply_op`)."""
+    apply_op(shard, record.op, record.args)
 
 
 def replay(shard: "SWSTIndex", records: Iterable[WalRecord]) -> int:

@@ -37,6 +37,7 @@ from typing import Any, Callable, Iterable, TypeVar
 
 from ..core.records import Rect, ReportLike
 from ..core.results import MultiQueryResult, QueryResult, QueryStats
+from ..engine.engine import LocalShards
 from ..engine.errors import ReshardError, ReshardInProgressError
 from ..engine.executor import Executor, ThreadedExecutor
 from ..engine.reshard import GenerationBuild, ReshardReport
@@ -58,8 +59,7 @@ class AsyncEngine:
         executor: pool the blocking calls run on, via the Executor
             seam's ``submit``.  Defaults to an owned
             :class:`~repro.engine.ThreadedExecutor` with
-            ``max_workers`` threads; remote (process) executors are
-            rejected — they cannot see the live engine.
+            ``max_workers`` threads.
         max_workers: size of the owned default pool.  More than one
             thread only helps overlap a detached straggler (a call
             whose waiter gave up on its deadline) with the next call;
@@ -70,10 +70,6 @@ class AsyncEngine:
     def __init__(self, engine: Any, *, executor: Executor | None = None,
                  max_workers: int = 2,
                  stats: ServeStats | None = None) -> None:
-        if executor is not None and getattr(executor, "remote", False):
-            raise ValueError("AsyncEngine needs an in-process executor; "
-                             "remote (process) pools cannot reach the "
-                             "live engine")
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self._engine = engine
@@ -315,15 +311,17 @@ class AsyncEngine:
         engine = self._engine
         engine.save()
         executor = None
-        if not isinstance(engine, WorkerEngine) \
-                and not getattr(engine, "_owns_executor", True):
+        snapshots = True
+        transport = engine._transport
+        if isinstance(transport, LocalShards):
             # The new generation can share a caller-owned executor; an
             # engine-owned one dies with the old engine at the swap.
-            executor = engine._executor
+            if not transport.owns_executor:
+                executor = transport.executor
+            snapshots = transport.snapshots
         build = GenerationBuild(
             directory, new_n_shards, engine.config, executor=executor,
-            file_ops=engine._fops,
-            snapshots=getattr(engine, "_snapshots", True))
+            file_ops=engine._fops, snapshots=snapshots)
         build.stage()
         self._journal = []
         return build

@@ -66,9 +66,9 @@ class TestCrossShardCurrents:
     def test_object_moving_between_shards_is_finalised(self, engine):
         (x1, y1), (x2, y2) = cells_in_different_shards(engine)
         engine.report(7, x1, y1, 10)
-        first_home = engine._home[7]
+        first_home = engine._cur[7][0]
         engine.report(7, x2, y2, 25)
-        assert engine._home[7] != first_home
+        assert engine._cur[7][0] != first_home
         assert engine.current_objects() == {7: (x2, y2, 25)}
         entries = {(e.x, e.y, e.s, e.d)
                    for e in engine.query_interval(engine.config.space, 0, 30)}
@@ -206,10 +206,10 @@ class TestLifecycle:
 
     def test_owned_executor_closed_with_engine(self):
         eng = ShardedEngine(make_config())
-        assert isinstance(eng._executor, ThreadedExecutor)
+        assert isinstance(eng._transport.executor, ThreadedExecutor)
         eng.extend([])
         eng.close()
-        assert eng._executor._pool is None
+        assert eng._transport.executor._pool is None
 
     def test_borrowed_executor_left_running(self):
         ex = ThreadedExecutor(max_workers=2)

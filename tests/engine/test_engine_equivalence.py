@@ -1,14 +1,16 @@
-"""Equivalence oracle: a ShardedEngine at any shard count returns exactly
-the results of a plain SWSTIndex fed the same interleaved workload, and a
-single-shard engine preserves the unsharded node-access counts."""
+"""Equivalence oracle: a ShardedEngine at any shard count — over either
+shard transport — returns exactly the results of a plain SWSTIndex fed
+the same interleaved workload, and a single-shard engine preserves the
+unsharded node-access counts."""
 
 import random
+import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Rect, SWSTConfig, SWSTIndex
-from repro.engine import SerialExecutor, ShardedEngine
+from repro.engine import SerialExecutor, ShardedEngine, WorkerEngine
 
 CFG = SWSTConfig(window=200, slide=20, x_partitions=3, y_partitions=3,
                  d_max=40, duration_interval=10, space=Rect(0, 0, 99, 99),
@@ -68,18 +70,15 @@ def apply_workload(target, ops):
     return t
 
 
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(ops=st.lists(op_strategy, min_size=1, max_size=80),
-       queries=query_strategy,
-       n_shards=st.sampled_from([1, 2, 4, 7]))
-def test_engine_equals_plain_index(ops, queries, n_shards):
-    config = SWSTConfig(window=200, slide=20, x_partitions=3,
-                        y_partitions=3, d_max=40, duration_interval=10,
-                        space=Rect(0, 0, 99, 99), page_size=512,
-                        n_shards=n_shards)
-    with SWSTIndex(CFG) as plain, \
-            ShardedEngine(config, executor=SerialExecutor()) as engine:
+def engine_config(n_shards):
+    return SWSTConfig(window=200, slide=20, x_partitions=3,
+                      y_partitions=3, d_max=40, duration_interval=10,
+                      space=Rect(0, 0, 99, 99), page_size=512,
+                      n_shards=n_shards)
+
+
+def check_equals_plain(engine, ops, queries):
+    with SWSTIndex(CFG) as plain:
         t = apply_workload(plain, ops)
         apply_workload(engine, ops)
         assert len(engine) == len(plain)
@@ -102,6 +101,31 @@ def test_engine_equals_plain_index(ops, queries, n_shards):
 
         assert knn_distances(engine.query_knn(50, 50, 3, 0, t)) == \
             knn_distances(plain.query_knn(50, 50, 3, 0, t))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=st.lists(op_strategy, min_size=1, max_size=80),
+       queries=query_strategy,
+       n_shards=st.sampled_from([1, 2, 4, 7]))
+def test_engine_equals_plain_index(ops, queries, n_shards):
+    with ShardedEngine(engine_config(n_shards),
+                       executor=SerialExecutor()) as engine:
+        check_equals_plain(engine, ops, queries)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(ops=st.lists(op_strategy, min_size=1, max_size=80),
+       queries=query_strategy,
+       n_shards=st.sampled_from([1, 2, 4, 7]))
+def test_worker_engine_equals_plain_index(tmp_path, ops, queries,
+                                          n_shards):
+    """The same property over the worker-process transport."""
+    directory = tempfile.mkdtemp(dir=tmp_path)
+    with WorkerEngine(engine_config(n_shards), directory) as engine:
+        check_equals_plain(engine, ops, queries)
 
 
 @settings(max_examples=20, deadline=None,

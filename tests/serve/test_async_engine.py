@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.core import Rect, SWSTConfig
-from repro.engine import ProcessExecutor, SerialExecutor, ShardedEngine
+from repro.engine import SerialExecutor, ShardedEngine
 from repro.serve import AsyncEngine, ServeClosedError
 
 
@@ -22,15 +22,6 @@ def engine():
     with ShardedEngine(make_config(),
                        executor=SerialExecutor()) as eng:
         yield eng
-
-
-def test_rejects_remote_executor():
-    pool = ProcessExecutor(max_workers=1)
-    try:
-        with pytest.raises(ValueError, match="remote"):
-            AsyncEngine(object(), executor=pool)
-    finally:
-        pool.close()
 
 
 def test_round_trip_query(engine):
